@@ -571,9 +571,6 @@ class FmaxBinarySearchOptimizer(OptimizerBase):
         if family is not None:
             family.observe(point.resolved_clock_mhz, entry.report.feasible)
 
-    def family_results(self) -> list[_FmaxFamily]:
-        return list(self._families)
-
     def result(self) -> dict:
         families = sorted(
             (f.as_dict() for f in self._families),

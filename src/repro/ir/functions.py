@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
 
 from repro.ir.errors import IRValidationError
 from repro.ir.instructions import (
@@ -311,12 +310,6 @@ class Module:
     def has_function(self, name: str) -> bool:
         return name.lstrip("@") in self.functions
 
-    def leaf_functions(self) -> list[IRFunction]:
-        return [f for f in self.functions.values() if f.is_leaf and f.name != self.main]
-
-    def iter_functions(self) -> Iterator[IRFunction]:
-        return iter(self.functions.values())
-
     def resolve_offset(self, offset: int | str) -> int:
         """Resolve a (possibly symbolic) stream offset to an integer."""
         if isinstance(offset, int):
@@ -331,24 +324,9 @@ class Module:
     def output_streams(self) -> list[StreamObject]:
         return [s for s in self.stream_objects.values() if s.direction is StreamDirection.OUTPUT]
 
-    def input_ports(self) -> list[PortDeclaration]:
-        return [p for p in self.port_declarations if p.direction is StreamDirection.INPUT]
-
-    def output_ports(self) -> list[PortDeclaration]:
-        return [p for p in self.port_declarations if p.direction is StreamDirection.OUTPUT]
-
     def total_stream_words_per_item(self) -> int:
         """Words moved per work item over all declared ports (``NWPT``)."""
         return len(self.port_declarations)
-
-    def callees_of(self, func_name: str) -> list[tuple[str, FunctionKind | None]]:
-        """Return ``(callee, call kind)`` pairs for a function's calls."""
-        func = self.get_function(func_name)
-        out = []
-        for call in func.calls():
-            kind = FunctionKind(call.kind) if call.kind else None
-            out.append((call.callee, kind))
-        return out
 
     def call_graph(self) -> dict[str, list[str]]:
         """Adjacency list of the static call graph."""

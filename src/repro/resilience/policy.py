@@ -40,7 +40,6 @@ from typing import Callable, Iterable
 import threading
 
 from repro.obs.logs import get_logger, log_event
-from repro.obs.metrics import samples_from_counter_snapshot
 
 _LOG = get_logger("resilience")
 
@@ -307,15 +306,6 @@ class ResilienceCounters:
         """Zero every counter (test isolation; never called in production)."""
         with self._lock:
             self._counts.clear()
-
-    def metric_samples(self):
-        """This surface as registry samples (``tybec_resilience_events_total``).
-
-        The bridge a :class:`~repro.obs.metrics.MetricsRegistry` collector
-        registers so Prometheus exposition covers these counters without
-        the hot ``bump`` path ever touching the registry.
-        """
-        return samples_from_counter_snapshot(self.snapshot())
 
 
 #: the process-wide resilience counters

@@ -124,14 +124,14 @@ def suite_config_from_spec(spec: dict) -> SuiteConfig:
             f"unknown suite field(s) {unknown}; known: {sorted(known)} "
             f"(plus 'tiny' and 'dense')"
         )
-    for name in ("kernels", "devices", "forms", "patterns", "clocks_mhz"):
-        if name in spec and spec[name] is not None:
-            spec[name] = tuple(spec[name])
-    if spec.get("lanes") is not None:
-        spec["lanes"] = tuple(spec["lanes"])
-    if "grids" in spec:
-        spec["grids"] = {k: tuple(v) for k, v in dict(spec["grids"]).items()}
     try:
+        for name in ("kernels", "devices", "forms", "patterns", "clocks_mhz"):
+            if name in spec and spec[name] is not None:
+                spec[name] = tuple(spec[name])
+        if spec.get("lanes") is not None:
+            spec["lanes"] = tuple(spec["lanes"])
+        if "grids" in spec:
+            spec["grids"] = {k: tuple(v) for k, v in dict(spec["grids"]).items()}
         if tiny:
             config = SuiteConfig.tiny(
                 kernels=spec.pop("kernels", ()),
@@ -290,17 +290,19 @@ class ExplorationService:
         # report bytes, so sharing the computation stays sound)
         deadline_seconds = spec.pop("deadline_seconds", None)
         device = str(spec.get("device", "stratix-v"))
-        grid = tuple(int(d) for d in spec.get("grid", (24, 24, 24)))
-        iterations = int(spec.get("iterations", 1000))
         pattern = str(spec.get("pattern", "contiguous"))
         name = str(spec.get("name", "design"))
         try:
+            grid = tuple(int(d) for d in spec.get("grid", (24, 24, 24)))
+            iterations = int(spec.get("iterations", 1000))
             get_device(device)
             pattern_kind = PatternKind(pattern)
             from repro.compiler import TybecCompiler
 
             module = TybecCompiler(CompilationOptions()).parse(
                 spec["design"], name=name)
+            workload = KernelInstance(kernel=module.name, ndrange=NDRange(grid),
+                                      repetitions=iterations)
         except Exception as exc:
             raise BadRequestError(str(exc.args[0] if exc.args else exc)) from exc
         key = _fingerprint("cost", {
@@ -314,8 +316,7 @@ class ExplorationService:
         request = {
             "module": module,
             "device": device,
-            "workload": KernelInstance(kernel=module.name, ndrange=NDRange(grid),
-                                       repetitions=iterations),
+            "workload": workload,
             "pattern": pattern_kind,
             "deadline_seconds": deadline_seconds,
         }
@@ -499,6 +500,10 @@ class ExplorationService:
 class _ServiceHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "tybec-service/1"
+    #: headers and body go out as separate writes; with Nagle's algorithm
+    #: the body waits for the client's delayed ACK (~40 ms per keep-alive
+    #: response)
+    disable_nagle_algorithm = True
 
     #: HTTP status of the in-flight request (recorded by send_response)
     _status = 0
@@ -563,6 +568,8 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if self._trace_id:
             self.send_header(TRACE_HEADER, self._trace_id)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -617,7 +624,16 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             self._broken = True
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
+        header = self.headers.get("Content-Length", "0")
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # the body's extent is unknown, so the connection cannot be reused
+            self.close_connection = True
+            raise BadRequestError(
+                f"Content-Length must be a non-negative integer, got {header!r}")
         raw = self.rfile.read(length) if length else b""
         try:
             payload = json.loads(raw or b"null")

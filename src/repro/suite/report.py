@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 __all__ = [
@@ -58,6 +59,15 @@ KNOWN_SCHEMAS = (SCHEMA, VALIDATION_SCHEMA, FLOW_SCHEMA, DSE_SCHEMA)
 FLOAT_SIGNIFICANT_DIGITS = 9
 
 
+def _round_float(value, digits: int = FLOAT_SIGNIFICANT_DIGITS) -> float:
+    """``value`` rounded to ``digits`` significant digits, as a plain float."""
+    return float(f"{value:.{digits}g}")
+
+
+def _unsupported(value) -> TypeError:
+    return TypeError(f"cannot canonicalise {type(value).__name__!r} value {value!r}")
+
+
 def canonicalize(value, float_digits: int = FLOAT_SIGNIFICANT_DIGITS):
     """Normalise a JSON-ish payload for deterministic serialisation.
 
@@ -68,17 +78,142 @@ def canonicalize(value, float_digits: int = FLOAT_SIGNIFICANT_DIGITS):
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, float):
-        return float(f"{value:.{float_digits}g}")
+        return _round_float(value, float_digits)
     if isinstance(value, dict):
         return {str(k): canonicalize(v, float_digits) for k, v in sorted(value.items())}
     if isinstance(value, (list, tuple)):
         return [canonicalize(v, float_digits) for v in value]
-    raise TypeError(f"cannot canonicalise {type(value).__name__!r} value {value!r}")
+    raise _unsupported(value)
+
+
+#: JSON spellings of the non-finite floats, keyed by their ``repr``
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_json(value) -> str:
+    """The JSON text of ``value`` once rounded, as :mod:`json` spells it."""
+    text = repr(_round_float(value))
+    return _NONFINITE.get(text, text)
+
+
+def _write(payload, unit: str, colon: str) -> str:
+    """``payload`` as canonical JSON text, in one walk.
+
+    The bytes equal ``json.dumps(canonicalize(payload), sort_keys=True,
+    ...)`` with ``indent=len(unit)`` (or compact separators when ``unit``
+    is empty), without building the canonical copy: keys are sorted, floats
+    rounded and indentation written as the walk goes.  Reports repeat few
+    distinct floats, strings and keys, so their encodings are memoised per
+    call.  The tables are keyed by value and hold one exact type each,
+    because ``1 == 1.0 == True`` and ``0.0 == -0.0`` hash alike.
+    """
+    parts: list[str] = []
+    append = parts.append
+    floats: dict[float, str] = {}
+    strings: dict[str, str] = {}
+    keys: dict[str, str] = {}
+
+    def float_text(value: float) -> str:
+        text = _float_json(value)
+        if value:  # zeros are never memoised: -0.0 would find 0.0
+            floats[value] = text
+        return text
+
+    def emit(value, newline: str) -> None:
+        # exact types first, as they are the common case; then
+        # canonicalize's checks, so subclasses encode as their base type
+        t = type(value)
+        if t is float:
+            text = floats.get(value) or float_text(value)
+        elif t is str:
+            text = strings.get(value)
+            if text is None:
+                text = strings[value] = _quote(value)
+        elif t is int:
+            text = int.__repr__(value)
+        elif value is None:
+            text = "null"
+        elif value is True:
+            text = "true"
+        elif value is False:
+            text = "false"
+        elif isinstance(value, int):
+            text = int.__repr__(value)
+        elif isinstance(value, str):
+            text = _quote(value)
+        elif isinstance(value, float):
+            text = _float_json(value)
+        elif isinstance(value, dict):
+            emit_dict(value if t is dict else dict(value.items()), newline)
+            return
+        elif isinstance(value, (list, tuple)):
+            emit_list(value, newline)
+            return
+        else:
+            raise _unsupported(value)
+        append(text)
+
+    def emit_dict(value: dict, newline: str) -> None:
+        if not value:
+            append("{}")
+            return
+        inner = newline + unit
+        sep = "{" + inner
+        comma = "," + inner
+        order = sorted(value)
+        for key in order:
+            if type(key) is not str:
+                # canonicalize stringifies keys after sorting them, and the
+                # encoder then sorts the strings: "10" comes before "9"
+                value = {str(k): value[k] for k in order}
+                order = sorted(value)
+                break
+        for key in order:
+            text = keys.get(key)
+            if text is None:
+                text = keys[key] = _quote(key) + colon
+            append(sep + text)
+            sep = comma
+            # the common leaves inline: a call per leaf is most of the cost
+            item = value[key]
+            t = type(item)
+            if t is float:
+                text = floats.get(item) or float_text(item)
+            elif t is str:
+                text = strings.get(item)
+                if text is None:
+                    text = strings[item] = _quote(item)
+            elif t is int:
+                text = int.__repr__(item)
+            elif t is dict:
+                emit_dict(item, inner)
+                continue
+            else:
+                emit(item, inner)
+                continue
+            append(text)
+        append(newline + "}")
+
+    def emit_list(value, newline: str) -> None:
+        if not value:
+            append("[]")
+            return
+        inner = newline + unit
+        sep = "[" + inner
+        comma = "," + inner
+        for item in value:
+            append(sep)
+            sep = comma
+            emit(item, inner)
+        append(newline + "]")
+
+    emit(payload, "\n" if unit else "")
+    return "".join(parts)
 
 
 def canonical_json(payload) -> str:
     """The canonical serialisation: sorted keys, 2-space indent, newline."""
-    return json.dumps(canonicalize(payload), sort_keys=True, indent=2) + "\n"
+    return _write(payload, "  ", ": ") + "\n"
 
 
 def canonical_json_line(payload) -> str:
@@ -90,8 +225,7 @@ def canonical_json_line(payload) -> str:
     payload back through :func:`canonical_json` recover the byte-identical
     file a batch run would have written.
     """
-    return json.dumps(canonicalize(payload), sort_keys=True,
-                      separators=(",", ":")) + "\n"
+    return _write(payload, "", ":") + "\n"
 
 
 @dataclass

@@ -9,7 +9,10 @@ against a real :class:`ThreadingHTTPServer` on an ephemeral port.
 
 from __future__ import annotations
 
+import http.client
+import json
 import threading
+import time
 
 import pytest
 
@@ -175,6 +178,13 @@ class TestSuiteConfigSpec:
         with pytest.raises(BadRequestError):
             suite_config_from_spec({"devices": ["not-an-fpga"]})
 
+    @pytest.mark.parametrize("spec", [
+        {"kernels": 5}, {"lanes": 3}, {"grids": [1]}, {"grids": {"sor": 8}},
+    ])
+    def test_non_list_axes_rejected(self, spec):
+        with pytest.raises(BadRequestError):
+            suite_config_from_spec(spec)
+
     def test_lists_become_tuples(self):
         config = suite_config_from_spec(
             {"kernels": ["sor"], "lanes": [1, 2], "grids": {"sor": [8, 8, 8]}})
@@ -271,6 +281,80 @@ class TestServiceHTTP:
         stats = metrics["pipeline"]
         assert "stage_seconds" in stats
         assert stats["variant"][0] + stats["variant"][1] > 0
+
+
+class TestServiceSocket:
+    """One keep-alive connection, driven request by request."""
+
+    @staticmethod
+    def _post(conn: http.client.HTTPConnection, body) -> tuple[int, dict]:
+        conn.request("POST", "/cost", json.dumps(body).encode(),
+                     {"Content-Type": "application/json"})
+        response = conn.getresponse()
+        return response.status, response.read()
+
+    def test_keep_alive_responses_do_not_stall(self, server):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        try:
+            conn.request("GET", "/healthz")
+            conn.getresponse().read()
+            started = time.perf_counter()
+            for _ in range(20):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - started
+        finally:
+            conn.close()
+        # a delayed-ACK stall costs ~40 ms per response, 0.8 s for all 20
+        assert elapsed < 0.4, f"20 keep-alive /healthz took {elapsed:.3f} s"
+
+    @pytest.mark.parametrize("change", [
+        {"iterations": "x"},
+        {"iterations": None},
+        {"iterations": 0},
+        {"grid": ["a", "b"]},
+        {"grid": 8},
+        {"grid": [0, 8]},
+        {"grid": [8, 8, 8, 8]},
+    ])
+    def test_bad_cost_fields_are_400_on_a_live_connection(self, server, change):
+        from repro.ir import print_module
+
+        from tests.conftest import build_stencil_module
+
+        design = print_module(build_stencil_module(lanes=1, grid=(8, 8, 8)))
+        valid = {"design": design, "grid": [8, 8, 8], "iterations": 10}
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=60)
+        try:
+            status, body = self._post(conn, {**valid, **change})
+            assert status == 400
+            assert json.loads(body)["error"]
+            sock = conn.sock
+            status, body = self._post(conn, valid)
+            assert conn.sock is sock, "the server closed the connection"
+        finally:
+            conn.close()
+        assert status == 200
+        events = [json.loads(line) for line in body.decode().splitlines()]
+        assert events[-1]["event"] == "report"
+
+    @pytest.mark.parametrize("length", ["-5", "ten", "1.5"])
+    def test_bad_content_length_is_400(self, server, length):
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
+        try:
+            conn.putrequest("POST", "/cost")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            response = conn.getresponse()
+            assert response.status == 400
+            assert "Content-Length" in json.loads(response.read())["error"]
+            assert response.getheader("Connection") == "close"
+        finally:
+            conn.close()
+        # the server stays up for the next client
+        assert ServiceClient(port=server.port).health()["ok"] is True
 
 
 class TestServiceDirect:
