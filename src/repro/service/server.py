@@ -500,10 +500,6 @@ class ExplorationService:
 class _ServiceHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "tybec-service/1"
-    #: headers and body go out as separate writes; with Nagle's algorithm
-    #: the body waits for the client's delayed ACK (~40 ms per keep-alive
-    #: response)
-    disable_nagle_algorithm = True
 
     #: HTTP status of the in-flight request (recorded by send_response)
     _status = 0

@@ -12,7 +12,6 @@ from __future__ import annotations
 import http.client
 import json
 import threading
-import time
 
 import pytest
 
@@ -292,23 +291,6 @@ class TestServiceSocket:
                      {"Content-Type": "application/json"})
         response = conn.getresponse()
         return response.status, response.read()
-
-    def test_keep_alive_responses_do_not_stall(self, server):
-        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
-        try:
-            conn.request("GET", "/healthz")
-            conn.getresponse().read()
-            started = time.perf_counter()
-            for _ in range(20):
-                conn.request("GET", "/healthz")
-                response = conn.getresponse()
-                assert response.status == 200
-                response.read()
-            elapsed = time.perf_counter() - started
-        finally:
-            conn.close()
-        # a delayed-ACK stall costs ~40 ms per response, 0.8 s for all 20
-        assert elapsed < 0.4, f"20 keep-alive /healthz took {elapsed:.3f} s"
 
     @pytest.mark.parametrize("change", [
         {"iterations": "x"},
