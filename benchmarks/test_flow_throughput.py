@@ -17,8 +17,11 @@ from repro.flows import run_flow_suite
 from repro.kernels import kernel_names
 from repro.suite.golden import golden_config
 
-#: conservative CI gates; recorded throughput lives in the artifact
-MIN_ITEMS_PER_SECOND = 100.0
+#: CI gates; recorded throughput lives in the artifact.  The items/s gate
+#: sits between the compiled netlist simulator (5,500-6,900 items/s serial
+#: on a 2-vCPU x86 host) and the tree-walking interpreter it replaced
+#: (490-730 items/s), so falling back to interpreter speed fails it
+MIN_ITEMS_PER_SECOND = 2000.0
 MIN_FAMILIES_PER_SECOND = 1.0
 
 

@@ -10,6 +10,14 @@ non-blocking assignments all read pre-edge state and commit together —
 which is what lets the pure-Python RTL backend reproduce exactly what an
 event-driven simulator would print for this subset.
 
+Elaboration also compiles the netlist's clock step: :class:`_StepCompiler`
+generates the Python source of one ``step`` function (the continuous
+assigns in order with widths and masks folded, the output sample, every
+process with its blocking temporaries as locals, and the non-blocking
+commit), which is compiled once and then runs every cycle.  The source is
+generated here from the netlist alone; design names enter it only as
+string literals.
+
 :func:`lint_module` runs the structural checks the satellite tests pin
 for every generated file: legal identifiers and balanced ``begin``/``end``
 come free with parsing; on top of that it checks that every referenced
@@ -18,7 +26,9 @@ signal is declared *before* use and that no signal has two drivers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 from repro.flows.numeric import as_signed, truncdiv
 from repro.flows.verilog import (
@@ -81,6 +91,8 @@ class Netlist:
     assigns: list[ContinuousAssign]
     processes: list[AlwaysBlock]
     instances: list[Instance]
+    #: the compiled clock step (leaf modules; set by :func:`elaborate`)
+    program: StepProgram | None = field(default=None, repr=False, compare=False)
 
     def stats(self) -> dict:
         """Cell-level statistics (the ``SynthFlow`` report payload)."""
@@ -174,7 +186,7 @@ def elaborate(module: VerilogModule) -> Netlist:
             arrays[item.name] = (item.width, item.size)
 
     assigns = _toposort_assigns(module.assigns)
-    return Netlist(
+    netlist = Netlist(
         name=module.name,
         widths=widths,
         arrays=arrays,
@@ -188,11 +200,434 @@ def elaborate(module: VerilogModule) -> Netlist:
         processes=module.always_blocks,
         instances=module.instances,
     )
+    if not netlist.instances:
+        netlist.program = _compile_step(netlist)
+    return netlist
 
 
 # ----------------------------------------------------------------------
-# Simulation
+# Simulation: one generated step function per netlist
 # ----------------------------------------------------------------------
+
+#: a ``for`` loop that runs more iterations than this is a runaway
+_LOOP_GUARD = 1_000_000
+#: ``>>`` of a negative value shifts its 64-bit two's-complement pattern
+_SHR_MASK = (1 << 64) - 1
+#: operators Python's ints evaluate exactly as the simulated hardware does
+_PLAIN_OPS = frozenset({"+", "-", "*", "&", "|", "^", "<<"})
+_COMPARISONS = frozenset({"==", "!=", "<", "<=", ">", ">="})
+#: operators that are signed when either operand is ``$signed``
+_SIGNED_OPS = frozenset({"<", "<=", ">", ">=", "/", "%"})
+
+
+def _fail(message: str):
+    raise ElaborationError(message)
+
+
+def _shr(a: int, b: int) -> int:
+    return a >> b if a >= 0 else (a & _SHR_MASK) >> b
+
+
+def _mod(a: int, b: int) -> int:
+    return 0 if b == 0 else a - b * truncdiv(a, b)
+
+
+def _int(value) -> str:
+    """An int literal; anything that is not an int is refused."""
+    try:
+        value = operator.index(value)
+    except TypeError as exc:
+        raise ElaborationError(f"non-integer constant {value!r}") from exc
+    return str(value) if value >= 0 else f"({value})"
+
+
+def _mask(width: int) -> str:
+    width = operator.index(width)
+    return hex((1 << width) - 1) if width >= 0 else f"((1 << {width}) - 1)"
+
+
+def _key(name: str) -> str:
+    """A design name as a string literal: the only way names enter the
+    generated source."""
+    if type(name) is not str:
+        raise ElaborationError(f"signal name {name!r} is not a string")
+    return repr(name)
+
+
+def _blocking_names(statements, names: dict) -> dict:
+    for stmt in statements:
+        if stmt[0] == "blocking":
+            names.setdefault(stmt[1])
+        elif stmt[0] == "if":
+            _blocking_names(stmt[2], names)
+            _blocking_names(stmt[3], names)
+        elif stmt[0] == "for":
+            names.setdefault(stmt[1][1])
+            _blocking_names(stmt[4], names)
+            names.setdefault(stmt[3][1])
+    return names
+
+
+def _is_const(expr: Expr, value: int | None = None) -> bool:
+    return (expr[0] == "const" and type(expr[1]) is int
+            and (value is None or expr[1] == value))
+
+
+@dataclass(frozen=True)
+class StepProgram:
+    """One netlist's compiled clock step.
+
+    ``bind(values, arrays)`` returns the ``step(edge)`` closure over one
+    simulator's state: it settles the continuous assigns and, when
+    ``edge`` is true, samples the outputs, runs the clock edge and returns
+    the sample.  ``source`` is the Python it was compiled from.
+    """
+
+    source: str
+    bind: Callable
+
+
+class _StepCompiler:
+    """Generates the Python source of one netlist's ``step``.
+
+    Design names reach the source only as ``repr()`` dict keys: signal
+    ``k`` lives in the local ``s<k>``, array ``k`` in ``a<k>`` (and its
+    next-state copy during the clock edge in ``w<k>``), a pending
+    non-blocking write to signal ``k`` in ``n<k>``, and blocking and
+    expression temporaries in ``b<k>``/``t<k>``.  Numbers enter only as
+    int literals, with widths and masks folded.
+    """
+
+    def __init__(self, netlist: Netlist):
+        self.widths = netlist.widths
+        self.arrays = netlist.arrays
+        self.netlist = netlist
+        self.signal = {name: f"s{i}" for i, name in enumerate(netlist.widths)}
+        self.array = {name: f"a{i}" for i, name in enumerate(netlist.arrays)}
+        self.units = {name: f"_fu{i}"
+                      for i, name in enumerate(sorted(_FUNCTIONAL_UNITS))}
+        #: signals read before this step assigns them (loaded from values)
+        self.loads: dict[str, None] = {}
+        #: signals whose local already holds this step's value
+        self.assigned: set[str] = set()
+        #: non-blocking scalar targets -> pending local
+        self.pending: dict[str, str] = {}
+        #: targets some process writes on every edge (no "unwritten" check)
+        self.always_written: set[str] = set()
+        #: arrays written on the edge -> next-state copy
+        self.written: dict[str, str] = {}
+        self.count = 0
+
+    def fresh(self, prefix: str) -> str:
+        self.count += 1
+        return f"{prefix}{self.count}"
+
+    # -- generation -----------------------------------------------------
+    def generate(self) -> str:
+        assigns = self.assigns()
+        sample = ", ".join(f"{_key(name)}: {self.read(name, None)}"
+                           for name in self.netlist.outputs)
+        edge: list[str] = []
+        for process in self.netlist.processes:
+            self.process(process.statements, edge)
+        prologue = [f"{copy} = {self.array[name]}[:]"
+                    for name, copy in self.written.items()]
+        prologue += [f"{slot} = None" for name, slot in self.pending.items()
+                     if name not in self.always_written]
+        commit = []
+        for name, slot in self.pending.items():
+            store = f"V[{_key(name)}] = {slot}"
+            commit.append(store if name in self.always_written
+                          else f"if {slot} is not None: {store}")
+        commit += [f"{self.array[name]}[:] = {copy}"
+                   for name, copy in self.written.items()]
+
+        step = [f"{self.signal[name]} = V[{_key(name)}]" for name in self.loads]
+        step += assigns + ["if not edge:", "    return None", f"out = {{{sample}}}"]
+        step += prologue + edge + commit + ["return out"]
+        lines = ["def bind(V, A):"]
+        lines += [f"    {slot} = A[{_key(name)}]" for name, slot in self.array.items()]
+        lines += ["    def step(edge):"] + [f"        {line}" for line in step]
+        lines += ["    return step", ""]
+        return "\n".join(lines)
+
+    def assigns(self) -> list[str]:
+        """The continuous assigns, in the netlist's topological order."""
+        lines = []
+        for assign in self.netlist.assigns:
+            target = assign.target
+            if target not in self.widths:
+                lines.append(f"_fail({f'assignment to undeclared {target!r}'!r})")
+                continue
+            slot = self.signal[target]
+            lines.append(f"{slot} = ({self.expr(assign.expr, None)} & "
+                         f"{_mask(self.widths[target])})")
+            lines.append(f"V[{_key(target)}] = {slot}")
+            self.assigned.add(target)
+        return lines
+
+    def process(self, statements, lines: list[str]) -> None:
+        """One always-block; its blocking temporaries are locals that
+        start from the signal of the same name, as a fresh per-process
+        environment over the pre-edge state does."""
+        env = {}
+        for name in _blocking_names(statements, {}):
+            slot = env[name] = self.fresh("b")
+            lines.append(f"{slot} = "
+                         + (self.read(name, None) if name in self.widths else "None"))
+        self.statements(statements, env, lines, "", top=True)
+
+    # -- statements -----------------------------------------------------
+    def statements(self, statements, env, lines, indent, top=False) -> None:
+        if not statements:
+            lines.append(f"{indent}pass")
+        for stmt in statements:
+            kind = stmt[0]
+            if kind == "nba":
+                self.nba(stmt[1], stmt[2], env, lines, indent, top)
+            elif kind == "blocking":
+                lines.append(f"{indent}{env[stmt[1]]} = {self.expr(stmt[2], env)}")
+            elif kind == "if":
+                lines.append(f"{indent}if {self.expr(stmt[1], env)}:")
+                self.statements(stmt[2], env, lines, indent + "    ")
+                if stmt[3]:
+                    lines.append(f"{indent}else:")
+                    self.statements(stmt[3], env, lines, indent + "    ")
+            elif kind == "for":
+                self.loop(stmt, env, lines, indent)
+            else:
+                lines.append(f"{indent}_fail({f'unknown statement {kind!r}'!r})")
+
+    def nba(self, target, rhs, env, lines, indent, top) -> None:
+        """A non-blocking write: computed now, committed after every
+        process has run (in program order, so the last write wins)."""
+        name = target[1]
+        value = self.expr(rhs, env)
+        if target[0] == "id" and name in self.widths:
+            slot = self.pending.setdefault(name, "n" + self.signal[name][1:])
+            if top:
+                self.always_written.add(name)
+            lines.append(f"{indent}{slot} = "
+                         f"({value} & {_mask(self.widths[name])})")
+        elif target[0] == "index" and name in self.arrays:
+            width, size = self.arrays[name]
+            copy = self.written.setdefault(name, "w" + self.array[name][1:])
+            index = target[2]
+            if _is_const(index):
+                # an out-of-range write is dropped, its value still computed
+                lines.append(f"{indent}{copy}[{_int(index[1])}] = "
+                             f"({value} & {_mask(width)})"
+                             if 0 <= index[1] < size else f"{indent}{value}")
+                return
+            held, at = self.fresh("t"), self.fresh("t")
+            lines.append(f"{indent}{held} = {value}")
+            lines.append(f"{indent}{at} = {self.expr(index, env)}")
+            lines.append(f"{indent}if 0 <= {at} < {_int(size)}:")
+            lines.append(f"{indent}    {copy}[{at}] = {held} & {_mask(width)}")
+        else:
+            lines.append(f"{indent}{value}")
+            if target[0] == "index":
+                lines.append(f"{indent}{self.expr(target[2], env)}")
+            lines.append(f"{indent}_fail({f'assignment to undeclared {name!r}'!r})")
+
+    def loop(self, stmt, env, lines, indent) -> None:
+        _, init, cond, update, body = stmt
+        if self.shift_loop(stmt, env, lines, indent):
+            return
+        self.statements((init,), env, lines, indent)
+        guard = self.fresh("t")
+        lines.append(f"{indent}{guard} = 0")
+        lines.append(f"{indent}while {self.expr(cond, env)}:")
+        inner = indent + "    "
+        self.statements(body, env, lines, inner)
+        self.statements((update,), env, lines, inner)
+        lines.append(f"{inner}{guard} += 1")
+        lines.append(f"{inner}if {guard} > {_LOOP_GUARD}:")
+        lines.append(f"{inner}    _fail('runaway for loop')")
+
+    def shift_loop(self, stmt, env, lines, indent) -> bool:
+        """The delay-line idiom ``for (v = c0; v < c1; v = v + 1)
+        x[v] <= x[v - 1];`` as one slice copy; False for any other loop.
+
+        Iteration ``v`` writes the pre-edge ``x[v - 1]`` (0 when that is
+        out of range) to ``x[v]`` (dropped when out of range), so the
+        in-range writes are ``x[lo:hi] = x[lo - 1:hi - 1]``, plus a 0 into
+        ``x[0]`` when the loop starts at or below 0.
+        """
+        _, init, cond, update, body = stmt
+        var = init[1]
+        v = ("id", var)
+        if not (_is_const(init[2]) and cond[:3] == ("binary", "<", v)
+                and _is_const(cond[3]) and update[1] == var
+                and update[2][:3] == ("binary", "+", v) and _is_const(update[2][3], 1)
+                and len(body) == 1 and body[0][0] == "nba"):
+            return False
+        target, rhs = body[0][1], body[0][2]
+        name = target[1]
+        if not (target == ("index", name, v) and name in self.arrays
+                and rhs[:2] == ("index", name) and rhs[2][:3] == ("binary", "-", v)
+                and _is_const(rhs[2][3], 1)):
+            return False
+        first, stop = init[2][1], cond[3][1]
+        if stop - first > _LOOP_GUARD:
+            lines.append(f"{indent}_fail('runaway for loop')")
+            return True
+        size = self.arrays[name][1]
+        copy = self.written.setdefault(name, "w" + self.array[name][1:])
+        lo, hi = max(first, 0), min(stop, size)
+        if lo == 0 < hi:
+            lines.append(f"{indent}{copy}[0] = 0")
+            lo = 1
+        if lo < hi:
+            lines.append(f"{indent}{copy}[{_int(lo)}:{_int(hi)}] = "
+                         f"{self.array[name]}[{_int(lo - 1)}:{_int(hi - 1)}]")
+        lines.append(f"{indent}{env[var]} = {_int(max(first, stop))}")
+        return True
+
+    # -- expressions ----------------------------------------------------
+    def read(self, name: str, env) -> str:
+        """A signal's value: a blocking temporary shadows the signal."""
+        if env is not None and name in env:
+            slot = env[name]
+            if name in self.widths:
+                return slot
+            return (f"({slot} if {slot} is not None else "
+                    f"_fail({f'undriven signal {name!r}'!r}))")
+        if name not in self.widths:
+            return f"_fail({f'undriven signal {name!r}'!r})"
+        if name not in self.assigned:
+            self.loads.setdefault(name)
+        return self.signal[name]
+
+    def signed(self, code: str, expr: Expr) -> str:
+        """``code`` (the value of ``expr``) as two's complement."""
+        width = self.width(expr)
+        if width < 1:
+            return f"_as_signed(({code} & {_mask(width)}), {_int(width)})"
+        half = hex(1 << (width - 1))
+        return f"((({code} & {_mask(width)}) ^ {half}) - {half})"
+
+    def width(self, expr: Expr) -> int:
+        """Verilog self-determined width of ``expr``."""
+        kind = expr[0]
+        if kind == "const":
+            return expr[2] or 32
+        if kind == "id":
+            return self.widths.get(expr[1], 32)
+        if kind == "index":
+            return self.arrays[expr[1]][0] if expr[1] in self.arrays else 1
+        if kind == "slice":
+            return expr[2] - expr[3] + 1
+        if kind == "concat":
+            return sum(self.width(part) for part in expr[1])
+        if kind in ("unary", "signed"):
+            return self.width(expr[-1])
+        if kind in ("binary", "ternary"):
+            return max(self.width(expr[-2]), self.width(expr[-1]))
+        return 32
+
+    def expr(self, expr: Expr, env) -> str:
+        """Python source computing ``expr`` (one atom: a name, a literal
+        or a parenthesised expression).  ``env`` maps the enclosing
+        process's blocking temporaries; it is ``None`` outside processes."""
+        kind = expr[0]
+        if kind == "const":
+            return _int(expr[1])
+        if kind == "id":
+            return self.read(expr[1], env)
+        if kind == "index":
+            name, index = expr[1], expr[2]
+            if name not in self.arrays:
+                return f"(({self.read(name, env)} >> {self.expr(index, env)}) & 1)"
+            array, size = self.array[name], self.arrays[name][1]
+            if _is_const(index):
+                return f"{array}[{_int(index[1])}]" if 0 <= index[1] < size else "0"
+            at = self.fresh("t")
+            return (f"({array}[{at}] if 0 <= ({at} := {self.expr(index, env)}) "
+                    f"< {_int(size)} else 0)")
+        if kind == "slice":
+            _, name, msb, lsb = expr
+            return f"(({self.read(name, env)} >> {_int(lsb)}) & {_mask(msb - lsb + 1)})"
+        if kind == "concat":
+            code = None
+            for part in expr[1]:
+                width = self.width(part)
+                piece = f"({self.expr(part, env)} & {_mask(width)})"
+                code = piece if code is None else f"(({code} << {_int(width)}) | {piece})"
+            return code
+        if kind == "signed":
+            return self.expr(expr[1], env)
+        if kind == "unary":
+            op, inner = expr[1], expr[2]
+            code = self.expr(inner, env)
+            if op == "~":
+                return f"(~{code} & {_mask(self.width(inner))})"
+            if op == "-":
+                return f"(-{code})"
+            return f"(0 if {code} else 1)"
+        if kind == "binary":
+            return self.binary(expr, env)
+        if kind == "ternary":
+            return (f"({self.expr(expr[2], env)} if {self.expr(expr[1], env)} "
+                    f"else {self.expr(expr[3], env)})")
+        if kind == "call":
+            unit = self.units.get(expr[1])
+            if unit is None:
+                return ("_fail(" + repr(
+                    f"unknown functional unit {expr[1]!r} (supported: "
+                    f"{sorted(_FUNCTIONAL_UNITS)})") + ")")
+            return f"{unit}({', '.join(self.expr(arg, env) for arg in expr[2])})"
+        return f"_fail({f'unknown expression node {kind!r}'!r})"
+
+    def binary(self, expr: Expr, env) -> str:
+        _, op, left, right = expr
+        a, b = self.expr(left, env), self.expr(right, env)
+        # signedness follows Verilog: a comparison/division/modulo is
+        # signed only when its operands are $signed
+        if op in _SIGNED_OPS and (left[0] == "signed" or right[0] == "signed"):
+            a, b = self.signed(a, left), self.signed(b, right)
+        if op in _PLAIN_OPS:
+            return f"({a} {op} {b})"
+        if op in _COMPARISONS:
+            return f"(1 if {a} {op} {b} else 0)"
+        # && and || evaluate both operands, as the hardware does
+        if op == "&&":
+            return f"(1 if ({a} != 0) & ({b} != 0) else 0)"
+        if op == "||":
+            return f"(1 if ({a} != 0) | ({b} != 0) else 0)"
+        if op == "/":
+            return f"_div({a}, {b})"
+        if op == "%":
+            return f"_mod({a}, {b})"
+        if op == ">>":
+            return f"_shr({a}, {b})"
+        if op == ">>>":
+            if left[0] == "signed":
+                a = self.signed(a, left)
+            return f"({a} >> {b})"
+        return f"_fail({f'unknown operator {op!r}'!r})"
+
+
+def _compile_step(netlist: Netlist) -> StepProgram:
+    """Generate and compile ``netlist``'s clock step (once per netlist)."""
+    compiler = _StepCompiler(netlist)
+    source = compiler.generate()
+    namespace = {
+        "__builtins__": {},
+        "_fail": _fail,
+        "_shr": _shr,
+        "_div": truncdiv,
+        "_mod": _mod,
+        "_as_signed": as_signed,
+        **{slot: _FUNCTIONAL_UNITS[name] for name, slot in compiler.units.items()},
+    }
+    try:
+        code = compile(source, f"<netlist {netlist.name}>", "exec")
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        raise ElaborationError(
+            f"module {netlist.name!r} is too deeply nested to simulate: {exc}") from exc
+    exec(code, namespace)
+    return StepProgram(source, namespace["bind"])
 
 
 class NetlistSimulator:
@@ -200,7 +635,9 @@ class NetlistSimulator:
 
     Registers and delay lines power up at zero — the deterministic
     counterpart of an event-driven simulator's ``x`` state after the
-    generated testbench's reset-and-flush preamble.
+    generated testbench's reset-and-flush preamble.  The work of a cycle
+    is the netlist's compiled :class:`StepProgram`, bound to this
+    simulator's ``values`` and ``arrays``.
     """
 
     def __init__(self, netlist: Netlist):
@@ -208,218 +645,35 @@ class NetlistSimulator:
             raise ElaborationError(
                 f"module {netlist.name!r} instantiates sub-modules; the "
                 "pure-Python backend simulates leaf kernel modules")
+        if netlist.program is None:
+            netlist.program = _compile_step(netlist)
         self.netlist = netlist
         self.values: dict[str, int] = {name: 0 for name in netlist.widths}
         self.arrays: dict[str, list[int]] = {
             name: [0] * size for name, (_, size) in netlist.arrays.items()
         }
         self._masks = {name: (1 << w) - 1 for name, w in netlist.widths.items()}
-        self._array_masks = {name: (1 << w) - 1
-                             for name, (w, _) in netlist.arrays.items()}
+        self._step = netlist.program.bind(self.values, self.arrays)
 
-    # -- expression evaluation ------------------------------------------
-    def _width_of(self, expr: Expr) -> int:
-        kind = expr[0]
-        if kind == "const":
-            return expr[2] or 32
-        if kind == "id":
-            return self.netlist.widths.get(expr[1], 32)
-        if kind == "index":
-            name = expr[1]
-            if name in self.netlist.arrays:
-                return self.netlist.arrays[name][0]
-            return 1
-        if kind == "slice":
-            return expr[2] - expr[3] + 1
-        if kind == "concat":
-            return sum(self._width_of(part) for part in expr[1])
-        if kind in ("unary", "signed"):
-            return self._width_of(expr[-1])
-        if kind in ("binary", "ternary"):
-            return max(self._width_of(expr[-2]), self._width_of(expr[-1]))
-        return 32
-
-    def _eval(self, expr: Expr, env: dict[str, int] | None = None) -> int:
-        kind = expr[0]
-        if kind == "const":
-            return expr[1]
-        if kind == "id":
-            name = expr[1]
-            if env is not None and name in env:
-                return env[name]
-            try:
-                return self.values[name]
-            except KeyError as exc:
-                raise ElaborationError(f"undriven signal {name!r}") from exc
-        if kind == "index":
-            name = expr[1]
-            index = self._eval(expr[2], env)
-            if name in self.arrays:
-                data = self.arrays[name]
-                return data[index] if 0 <= index < len(data) else 0
-            value = env[name] if env is not None and name in env else self.values[name]
-            return (value >> index) & 1
-        if kind == "slice":
-            _, name, msb, lsb = expr
-            value = env[name] if env is not None and name in env else self.values[name]
-            return (value >> lsb) & ((1 << (msb - lsb + 1)) - 1)
-        if kind == "concat":
-            value = 0
-            for part in expr[1]:
-                width = self._width_of(part)
-                value = (value << width) | (self._eval(part, env) & ((1 << width) - 1))
-            return value
-        if kind == "signed":
-            return self._eval(expr[1], env)
-        if kind == "unary":
-            op, inner = expr[1], expr[2]
-            value = self._eval(inner, env)
-            if op == "~":
-                width = self._width_of(inner)
-                return (~value) & ((1 << width) - 1)
-            if op == "-":
-                return -value
-            return 0 if value else 1  # '!'
-        if kind == "binary":
-            return self._eval_binary(expr, env)
-        if kind == "ternary":
-            return (self._eval(expr[2], env) if self._eval(expr[1], env)
-                    else self._eval(expr[3], env))
-        if kind == "call":
-            fn = _FUNCTIONAL_UNITS.get(expr[1])
-            if fn is None:
-                raise ElaborationError(
-                    f"unknown functional unit {expr[1]!r} (supported: "
-                    f"{sorted(_FUNCTIONAL_UNITS)})")
-            return fn(*[self._eval(a, env) for a in expr[2]])
-        raise ElaborationError(f"unknown expression node {kind!r}")  # pragma: no cover
-
-    def _eval_binary(self, expr: Expr, env: dict[str, int] | None) -> int:
-        _, op, left, right = expr
-        # signedness follows Verilog: a comparison/division/shift is
-        # signed only when its operands are $signed
-        if op in ("<", "<=", ">", ">=", "/", "%") and (
-                left[0] == "signed" or right[0] == "signed"):
-            a = as_signed(self._eval(left, env) & ((1 << self._width_of(left)) - 1),
-                                self._width_of(left))
-            b = as_signed(self._eval(right, env) & ((1 << self._width_of(right)) - 1),
-                                self._width_of(right))
-        else:
-            a = self._eval(left, env)
-            b = self._eval(right, env)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return truncdiv(a, b)
-        if op == "%":
-            if b == 0:
-                return 0
-            return a - b * truncdiv(a, b)
-        if op == "&":
-            return a & b
-        if op == "|":
-            return a | b
-        if op == "^":
-            return a ^ b
-        if op == "&&":
-            return 1 if (a and b) else 0
-        if op == "||":
-            return 1 if (a or b) else 0
-        if op == "==":
-            return 1 if a == b else 0
-        if op == "!=":
-            return 1 if a != b else 0
-        if op == "<":
-            return 1 if a < b else 0
-        if op == "<=":
-            return 1 if a <= b else 0
-        if op == ">":
-            return 1 if a > b else 0
-        if op == ">=":
-            return 1 if a >= b else 0
-        if op == "<<":
-            return a << b
-        if op == ">>":
-            return a >> b if a >= 0 else (a & ((1 << 64) - 1)) >> b
-        if op == ">>>":
-            if left[0] == "signed":
-                a = as_signed(a & ((1 << self._width_of(left)) - 1),
-                                    self._width_of(left))
-                return a >> b
-            return a >> b
-        raise ElaborationError(f"unknown operator {op!r}")  # pragma: no cover
-
-    # -- statement interpretation ---------------------------------------
-    def _run_statements(self, statements, env: dict[str, int], nba: list) -> None:
-        for stmt in statements:
-            kind = stmt[0]
-            if kind == "nba":
-                target, rhs = stmt[1], stmt[2]
-                value = self._eval(rhs, env)
-                if target[0] == "id":
-                    nba.append((target[1], None, value))
-                else:  # ("index", name, index_expr)
-                    nba.append((target[1], self._eval(target[2], env), value))
-            elif kind == "blocking":
-                env[stmt[1]] = self._eval(stmt[2], env)
-            elif kind == "if":
-                branch = stmt[2] if self._eval(stmt[1], env) else stmt[3]
-                self._run_statements(branch, env, nba)
-            elif kind == "for":
-                init, cond, update, body = stmt[1], stmt[2], stmt[3], stmt[4]
-                env[init[1]] = self._eval(init[2], env)
-                guard = 0
-                while self._eval(cond, env):
-                    self._run_statements(body, env, nba)
-                    env[update[1]] = self._eval(update[2], env)
-                    guard += 1
-                    if guard > 1_000_000:  # pragma: no cover - defensive
-                        raise ElaborationError("runaway for loop")
-            else:  # pragma: no cover - defensive
-                raise ElaborationError(f"unknown statement {kind!r}")
-
-    # -- public stepping -------------------------------------------------
     def settle(self) -> None:
         """Propagate the continuous assignments (combinational settle)."""
-        for assign in self.netlist.assigns:
-            width_mask = self._masks.get(assign.target)
-            if width_mask is None:
-                raise ElaborationError(f"assignment to undeclared {assign.target!r}")
-            self.values[assign.target] = self._eval(assign.expr) & width_mask
+        self._step(False)
 
     def step(self, inputs: dict[str, int]) -> dict[str, int]:
         """Advance one clock cycle.
 
         Applies ``inputs``, settles the combinational network, samples
         every output port (the values an observer sees *during* this
-        cycle) and then performs the clock edge.  Returns the sampled
-        outputs.
+        cycle) and then performs the clock edge: every process evaluates
+        against pre-edge state and all non-blocking assignments commit
+        together.  Returns the sampled outputs.
         """
+        values = self.values
         for name, value in inputs.items():
-            if name not in self.values:
+            if name not in values:
                 raise ElaborationError(f"unknown input {name!r}")
-            self.values[name] = value & self._masks[name]
-        self.settle()
-        sampled = {name: self.values[name] for name in self.netlist.outputs}
-
-        # clock edge: every process evaluates against pre-edge state, all
-        # non-blocking assignments commit together
-        nba: list[tuple[str, int | None, int]] = []
-        for process in self.netlist.processes:
-            env: dict[str, int] = {}
-            self._run_statements(process.statements, env, nba)
-        for name, index, value in nba:
-            if index is None:
-                self.values[name] = value & self._masks[name]
-            else:
-                data = self.arrays[name]
-                if 0 <= index < len(data):
-                    data[index] = value & self._array_masks[name]
-        return sampled
+            values[name] = value & self._masks[name]
+        return self._step(True)
 
 
 # ----------------------------------------------------------------------

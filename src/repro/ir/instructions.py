@@ -24,6 +24,7 @@ are ordinary :class:`Instruction` objects whose result name starts with
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Union
@@ -361,27 +362,85 @@ Statement = Union[Instruction, OffsetInstruction, CallInstruction]
 # ----------------------------------------------------------------------
 
 _ALLOWED_OFFSET_CHARS = set("+-*() _0123456789")
+_OFFSET_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_OFFSET_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|\S")
+#: every offset, and every value on the way to it, fits a signed 64-bit word
+_OFFSET_LIMIT = (1 << 63) - 1
+#: deepest nesting of parentheses and unary signs
+_OFFSET_DEPTH = 64
 
 
 def _eval_offset_expression(expr: str, constants: dict[str, int]) -> int:
-    """Safely evaluate a symbolic offset expression like ``-ND1*ND2``.
+    """Evaluate a symbolic offset expression like ``-ND1*ND2``.
 
     Only identifiers found in ``constants``, integer literals and the
-    operators ``+ - * ( )`` are permitted.
+    operators ``+ - * ( )`` are permitted.  A recursive-descent evaluator
+    checks every value against ``_OFFSET_LIMIT`` and the nesting against
+    ``_OFFSET_DEPTH``, so any text is evaluated or refused with
+    :class:`IRTypeError` in time linear in its length.
     """
-    import re as _re
-
-    names = set(_re.findall(r"[A-Za-z_][A-Za-z_0-9]*", expr))
-    unknown = names - set(constants)
+    unknown = set(_OFFSET_NAME.findall(expr)) - set(constants)
     if unknown:
         raise IRTypeError(
             f"offset expression {expr!r} references unknown constants {sorted(unknown)}"
         )
-    stripped = _re.sub(r"[A-Za-z_][A-Za-z_0-9]*", "", expr)
-    bad = set(stripped) - _ALLOWED_OFFSET_CHARS
+    bad = set(_OFFSET_NAME.sub("", expr)) - _ALLOWED_OFFSET_CHARS
     if bad:
         raise IRTypeError(f"offset expression {expr!r} contains invalid characters {bad}")
-    value = eval(expr, {"__builtins__": {}}, dict(constants))  # noqa: S307 - sanitised above
+    tokens = _OFFSET_TOKEN.findall(expr) + [""]
+    pos = 0
+
+    def fail(why: str):
+        raise IRTypeError(f"offset expression {expr!r}: {why}")
+
+    def bounded(value):
+        if abs(value) > _OFFSET_LIMIT:
+            fail(f"value out of range (|value| > {_OFFSET_LIMIT})")
+        return value
+
+    def take() -> str:
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
+
+    def sum_(depth: int):
+        value = product(depth)
+        while tokens[pos] in ("+", "-"):
+            value = bounded(value + product(depth) if take() == "+" else value - product(depth))
+        return value
+
+    def product(depth: int):
+        value = unary(depth)
+        while tokens[pos] == "*":
+            take()
+            if tokens[pos] == "*":
+                fail("'**' (exponentiation) is not allowed")
+            value = bounded(value * unary(depth))
+        return value
+
+    def unary(depth: int):
+        if depth > _OFFSET_DEPTH:
+            fail(f"nested deeper than {_OFFSET_DEPTH}")
+        token = take()
+        if token in ("+", "-"):
+            value = unary(depth + 1)
+            return -value if token == "-" else value
+        if token == "(":
+            value = sum_(depth + 1)
+            if take() != ")":
+                fail("unbalanced parentheses")
+            return value
+        if token.isdigit():
+            if len(token) > 19:
+                fail(f"value out of range (|value| > {_OFFSET_LIMIT})")
+            return bounded(int(token))
+        if token in constants:
+            return bounded(constants[token])
+        fail(f"unexpected {token!r}" if token else "unexpected end")
+
+    value = sum_(0)
+    if tokens[pos]:
+        fail(f"unexpected {tokens[pos]!r}")
     if not isinstance(value, int):
         raise IRTypeError(f"offset expression {expr!r} did not evaluate to an integer")
     return value

@@ -43,6 +43,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import threading
 import time
 from contextlib import contextmanager
@@ -62,6 +63,7 @@ from repro.explore.engine import (
     merge_stats,
 )
 from repro.models import KernelInstance, NDRange, PatternKind
+from repro.models.memory_execution import MemoryExecutionForm
 from repro.resilience import (
     COUNTERS,
     Deadline,
@@ -107,6 +109,49 @@ class BadRequestError(ValueError):
     """A malformed or unsatisfiable request body (HTTP 400)."""
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value > 0
+
+
+def _is_clock(value) -> bool:
+    return type(value) in (int, float) and 0 < value < math.inf
+
+
+_FORMS = sorted({"auto"} | {form.value for form in MemoryExecutionForm})
+_PATTERNS = sorted(pattern.value for pattern in PatternKind)
+
+#: suite fields that are lists, and what each element must be
+_LIST_FIELDS = {
+    "kernels": (lambda v: isinstance(v, str), "strings"),
+    "devices": (lambda v: isinstance(v, str), "strings"),
+    "forms": (lambda v: isinstance(v, str) and v in _FORMS, f"forms from {_FORMS}"),
+    "patterns": (lambda v: isinstance(v, str) and v in _PATTERNS,
+                 f"patterns from {_PATTERNS}"),
+    "lanes": (_is_count, "positive integers"),
+    "clocks_mhz": (_is_clock, "positive finite numbers"),
+}
+
+
+def _check_suite_fields(spec: dict) -> None:
+    """Refuse a wrongly typed suite field before anything is leased, so
+    it is a 400 here and never a failure inside the leader's sweep."""
+    for name, (valid, kind) in _LIST_FIELDS.items():
+        value = spec.get(name)
+        if value is not None and not (isinstance(value, (list, tuple))
+                                      and all(valid(v) for v in value)):
+            raise BadRequestError(f"{name!r} must be a list of {kind}")
+    if "max_lanes" in spec and not _is_count(spec["max_lanes"]):
+        raise BadRequestError("'max_lanes' must be a positive integer")
+    if spec.get("iterations") is not None and not _is_count(spec["iterations"]):
+        raise BadRequestError("'iterations' must be a positive integer")
+    grids = spec.get("grids", {})
+    if not (isinstance(grids, dict) and all(
+            isinstance(dims, (list, tuple)) and dims and all(_is_count(d) for d in dims)
+            for dims in grids.values())):
+        raise BadRequestError(
+            "'grids' must map kernel names to lists of positive integers")
+
+
 def suite_config_from_spec(spec: dict) -> SuiteConfig:
     """Build a :class:`SuiteConfig` from a request body.
 
@@ -124,6 +169,7 @@ def suite_config_from_spec(spec: dict) -> SuiteConfig:
             f"unknown suite field(s) {unknown}; known: {sorted(known)} "
             f"(plus 'tiny' and 'dense')"
         )
+    _check_suite_fields(spec)
     try:
         for name in ("kernels", "devices", "forms", "patterns", "clocks_mhz"):
             if name in spec and spec[name] is not None:

@@ -286,8 +286,9 @@ class TestServiceSocket:
     """One keep-alive connection, driven request by request."""
 
     @staticmethod
-    def _post(conn: http.client.HTTPConnection, body) -> tuple[int, dict]:
-        conn.request("POST", "/cost", json.dumps(body).encode(),
+    def _post(conn: http.client.HTTPConnection, body,
+              path: str = "/cost") -> tuple[int, dict]:
+        conn.request("POST", path, json.dumps(body).encode(),
                      {"Content-Type": "application/json"})
         response = conn.getresponse()
         return response.status, response.read()
@@ -321,6 +322,35 @@ class TestServiceSocket:
         assert status == 200
         events = [json.loads(line) for line in body.decode().splitlines()]
         assert events[-1]["event"] == "report"
+
+    @pytest.mark.parametrize("path", ["/suite", "/dse"])
+    def test_bad_suite_fields_are_400_on_a_live_connection(self, server, path):
+        """A wrongly typed field is refused before it is leased, not
+        failed inside the sweep behind a 200 stream."""
+        changes = [
+            {"lanes": ["a"]}, {"lanes": [0]}, {"lanes": "12"},
+            {"max_lanes": "x"}, {"max_lanes": True},
+            {"clocks_mhz": ["x"]}, {"clocks_mhz": [-100]},
+            {"kernels": [1]}, {"devices": [None]},
+            {"forms": ["Z"]}, {"patterns": [3]}, {"iterations": "10"},
+            {"grids": {"sor": ["a", 8, 8]}}, {"grids": {"sor": 8}},
+        ]
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=60)
+        try:
+            for change in changes:
+                status, body = self._post(conn, {**TINY_SPEC, **change}, path)
+                assert status == 400, change
+                assert json.loads(body)["error"], change
+                sock = conn.sock
+                status, body = self._post(conn, TINY_SPEC, path)
+                assert conn.sock is sock, f"the server closed the connection ({change})"
+                assert status == 200, change
+                events = [json.loads(line) for line in body.decode().splitlines()]
+                assert events[-1]["event"] == "report", change
+        finally:
+            conn.close()
+        # the bad bodies never reached a sweep; the valid one ran once
+        assert server.service.sweeps["started"] == 1
 
     @pytest.mark.parametrize("length", ["-5", "ten", "1.5"])
     def test_bad_content_length_is_400(self, server, length):
